@@ -108,6 +108,8 @@ def _headlines(name: str, data: dict) -> list[str]:
     if name == "BENCH_cache":
         bounded = data.get("bounded_memory", {})
         cold = data.get("delta_reuse", {}).get("cold_sweep", {})
+        at_budget = data["at_budget_put"]
+        puts = at_budget["put_median_s"]
         return [
             f"- bounded memory: peak {bounded['peak_total_bytes'] / 1024:.0f} KiB "
             f"under a {bounded['budget_bytes'] / 1024:.0f} KiB budget "
@@ -118,6 +120,10 @@ def _headlines(name: str, data: dict) -> list[str]:
             f"({cold['block_hits']} block hits, {cold['delta_hits']} delta patches)",
             f"- cached predictions bit-identical: "
             f"{data['delta_reuse']['identical_predictions']}",
+            f"- at-budget put: {_fmt_seconds(puts['200'])} with 200 entries, "
+            f"{_fmt_seconds(puts['20000'])} with 20000 "
+            f"(ratio {at_budget['put_ratio']:.2f}); stats() at 20k entries "
+            f"{_fmt_seconds(at_budget['stats_median_s_at_20k'])}",
         ]
     if name == "BENCH_frame_cow":
         token = data.get("signature_cost", {}).get("token", {})

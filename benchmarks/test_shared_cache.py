@@ -17,15 +17,24 @@ Two measurements, written to ``benchmarks/results/BENCH_cache.json``:
    columns masked-scatter-patch the base state's block) while the warm
    repeat of the same sweep confirms identical predictions and the
    speedup the reuse buys.
+3. *At-budget put* — the median cost of a ``put`` that must evict, with
+   about 200 and about 20k entries resident, while a floor-protected
+   namespace holds the LRU head (the entry an eviction walk would have
+   to step past), plus the cost of ``stats()`` at 20k entries. Eviction
+   is O(#namespaces), so the 20k/200 ratio stays near 1; a walk over
+   the entries would put it near 100.
 """
 
 import json
+import statistics
 import time
 
 from _helpers import RESULTS_DIR
 
 from repro.cache import (
     DEFAULT_MAX_BYTES,
+    KEY_OVERHEAD_BYTES,
+    SharedCache,
     cache_stats,
     set_cache_budget,
     shared_cache,
@@ -39,6 +48,10 @@ from repro.session import CleaningSession
 
 BUDGET_BYTES = 256 * 1024
 N_SESSIONS = 3
+#: Resident entry counts of the at-budget put row, and the largest
+#: 20k/200 put-time ratio it accepts.
+PUT_RESIDENTS = (200, 20_000)
+MAX_PUT_RATIO = 4.0
 
 
 def _run_session(seed: int) -> None:
@@ -138,6 +151,57 @@ def _delta_reuse() -> dict:
     }
 
 
+def _at_budget_put_timing(residents: int) -> dict:
+    """Median per-put seconds when every put evicts one entry.
+
+    A private cache is filled to exactly its budget: first a
+    floor-protected namespace (which therefore holds the LRU head), then
+    ``residents`` zero-payload entries of a second namespace. Each timed
+    put adds a fresh key to the second namespace and so evicts its
+    oldest entry, stepping past the protected head.
+    """
+    protected = 8
+    cache = SharedCache(max_bytes=(protected + residents) * KEY_OVERHEAD_BYTES)
+    cache.register("protected", floor_bytes=protected * KEY_OVERHEAD_BYTES)
+    for i in range(protected):
+        cache.put("protected", i, i, nbytes=0)
+    for i in range(residents):
+        cache.put("churn", i, i, nbytes=0)
+    batch, batches = 20, 300
+    per_put = []
+    key = residents
+    for __ in range(batches):
+        start = time.perf_counter()
+        for __ in range(batch):
+            cache.put("churn", key, key, nbytes=0)
+            key += 1
+        per_put.append((time.perf_counter() - start) / batch)
+    stats_s = []
+    for __ in range(50):
+        start = time.perf_counter()
+        stats = cache.stats()
+        stats_s.append(time.perf_counter() - start)
+    assert stats["entries"] == protected + residents
+    assert stats["namespaces"]["protected"]["evictions"] == 0
+    return {
+        "residents": residents,
+        "put_median_s": statistics.median(per_put),
+        "stats_median_s": statistics.median(stats_s),
+    }
+
+
+def _at_budget_put() -> dict:
+    small, large = (_at_budget_put_timing(n) for n in PUT_RESIDENTS)
+    return {
+        "put_median_s": {
+            str(small["residents"]): small["put_median_s"],
+            str(large["residents"]): large["put_median_s"],
+        },
+        "put_ratio": large["put_median_s"] / small["put_median_s"],
+        "stats_median_s_at_20k": large["stats_median_s"],
+    }
+
+
 def test_cache(benchmark):
     def run():
         try:
@@ -147,6 +211,7 @@ def test_cache(benchmark):
             clear_fit_cache()
             clear_fd_cache()
             delta = _delta_reuse()
+            at_budget = _at_budget_put()
         finally:
             set_cache_budget(DEFAULT_MAX_BYTES)
             clear_fit_cache()
@@ -160,6 +225,7 @@ def test_cache(benchmark):
             "bounded_memory": bounded,
             "unbounded_reference_bytes": unbounded["peak_total_bytes"],
             "delta_reuse": delta,
+            "at_budget_put": at_budget,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -186,3 +252,6 @@ def test_cache(benchmark):
     assert delta["cold_sweep"]["delta_hits"] > 0
     # ...without changing a single prediction.
     assert delta["identical_predictions"]
+
+    # (c) Eviction cost does not grow with the resident entry count.
+    assert results["at_budget_put"]["put_ratio"] <= MAX_PUT_RATIO

@@ -11,18 +11,34 @@ and wrong for a long-lived multi-tenant service: caches must be *shared*
 and *bounded in bytes* process-wide.
 
 :class:`SharedCache` is that single layer. Entries live in namespaces
-(``"fit"``, ``"transform"``, ``"blocks"``, ``"fd"``, …), every entry is
-charged its payload ``nbytes`` plus a fixed per-key overhead, and one
-global LRU order spans all namespaces. Eviction — never an error — keeps
-the total under the byte budget:
+(``"fit"``, ``"transform"``, ``"blocks"``, ``"fd"``, …) and every entry
+is charged its payload ``nbytes`` plus a fixed per-key overhead against
+one byte budget. Storage is one LRU-ordered ``OrderedDict`` per
+namespace, and a global access clock stamps every entry: a hit or a put
+takes the next tick and moves the entry to the end of its namespace. The
+head of each namespace is therefore its least recently used entry, and
+comparing head ticks across namespaces recovers the global LRU order
+without ever walking it. Eviction — never an error — keeps the total
+under the budget, one victim at a time:
 
-- the LRU walk first skips entries whose namespace is at or below its
+- *floors first*: evict the oldest head among namespaces above their
   *floor* (a small per-namespace reservation, so pressure from one
   namespace cannot completely starve another);
-- if respecting floors cannot get under the budget, a second pass evicts
-  in pure LRU order — the budget is a hard bound, floors are best-effort;
+- when no namespace is above its floor, evict the oldest head overall —
+  the budget is a hard bound, floors are best-effort;
 - entries larger than an admission cap (a fraction of the budget) are
   rejected outright and counted, not cached.
+
+A namespace's bytes only fall during eviction, so one that drops to its
+floor stays protected until the budget is met: this is exactly the
+order of a two-pass walk over a single global LRU (skip floor-protected
+namespaces, then pure LRU), at a cost independent of the entry count.
+
+Cost per operation, with *N* namespaces (four in practice): ``get`` and
+a ``put`` that stays under budget are O(1); each evicted entry costs
+O(N) to pick; ``stats()`` is O(N) (entry counts are ``len()`` per
+namespace); ``clear(namespace)`` is proportional to that namespace's
+entries only.
 
 Per-namespace counters (hits, misses, puts, evictions, rejected, bytes,
 entries) plus the global totals are exposed via :func:`cache_stats`,
@@ -96,6 +112,31 @@ def _zero_namespace_stats() -> dict[str, int]:
     }
 
 
+class _Namespace:
+    """One namespace: its entries in LRU order, its floor, its counters."""
+
+    __slots__ = ("entries", "floor", "stats")
+
+    def __init__(self) -> None:
+        #: key → (value, charged cost, access tick), least recent first.
+        self.entries: OrderedDict[Hashable, tuple[Any, int, int]] = (
+            OrderedDict()
+        )
+        self.floor = 0
+        #: Counters; ``stats["bytes"]`` is the namespace's live charge.
+        self.stats = _zero_namespace_stats()
+
+    def head_tick(self) -> int:
+        """Access tick of the least recently used entry (non-empty only)."""
+        return next(iter(self.entries.values()))[2]
+
+    def describe(self) -> dict[str, int]:
+        out = dict(self.stats)
+        out["entries"] = len(self.entries)
+        out["floor_bytes"] = self.floor
+        return out
+
+
 class SharedCache:
     """A namespaced LRU cache with byte accounting and floor-aware eviction.
 
@@ -109,15 +150,12 @@ class SharedCache:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self._lock = threading.RLock()
-        #: (namespace, key) → (value, charged cost) in LRU order.
-        self._entries: OrderedDict[tuple[str, Hashable], tuple[Any, int]] = (
-            OrderedDict()
-        )
+        self._namespaces: dict[str, _Namespace] = {}
         self._max_bytes = int(max_bytes)
-        self._floors: dict[str, int] = {}
-        self._stats: dict[str, dict[str, int]] = {}
-        self._bytes: dict[str, int] = {}
         self._total_bytes = 0
+        #: Global access clock: every hit or put stamps its entry with
+        #: the next tick, so head ticks order namespaces by LRU age.
+        self._clock = 0
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -138,11 +176,8 @@ class SharedCache:
         if floor_bytes < 0:
             raise ValueError(f"floor_bytes must be >= 0, got {floor_bytes}")
         with self._lock:
-            self._floors[namespace] = max(
-                self._floors.get(namespace, 0), int(floor_bytes)
-            )
-            self._stats.setdefault(namespace, _zero_namespace_stats())
-            self._bytes.setdefault(namespace, 0)
+            space = self._space(namespace)
+            space.floor = max(space.floor, int(floor_bytes))
         return namespace
 
     def configure(
@@ -164,9 +199,7 @@ class SharedCache:
                         raise ValueError(
                             f"floor for {namespace!r} must be >= 0, got {floor}"
                         )
-                    self._floors[namespace] = int(floor)
-                    self._stats.setdefault(namespace, _zero_namespace_stats())
-                    self._bytes.setdefault(namespace, 0)
+                    self._space(namespace).floor = int(floor)
             self._evict_to_budget()
 
     # ------------------------------------------------------------------ #
@@ -174,15 +207,15 @@ class SharedCache:
     # ------------------------------------------------------------------ #
     def get(self, namespace: str, key: Hashable) -> Any | None:
         """The cached value, or ``None``; counts the hit/miss either way."""
-        full_key = (namespace, key)
         with self._lock:
-            stats = self._namespace_stats(namespace)
-            entry = self._entries.get(full_key)
+            space = self._space(namespace)
+            entry = space.entries.pop(key, None)
             if entry is None:
-                stats["misses"] += 1
+                space.stats["misses"] += 1
                 return None
-            self._entries.move_to_end(full_key)
-            stats["hits"] += 1
+            self._clock += 1
+            space.entries[key] = (entry[0], entry[1], self._clock)
+            space.stats["hits"] += 1
             return entry[0]
 
     def put(
@@ -194,68 +227,62 @@ class SharedCache:
         if nbytes is None:
             nbytes = estimate_nbytes(value)
         cost = int(nbytes) + KEY_OVERHEAD_BYTES
-        full_key = (namespace, key)
         with self._lock:
-            stats = self._namespace_stats(namespace)
+            space = self._space(namespace)
             if cost > max(self._max_bytes // _ADMISSION_FRACTION, 1):
-                stats["rejected"] += 1
+                space.stats["rejected"] += 1
                 return False
-            existing = self._entries.get(full_key)
+            existing = space.entries.pop(key, None)
             if existing is not None:
-                self._charge(namespace, -existing[1])
-            self._entries[full_key] = (value, cost)
-            self._entries.move_to_end(full_key)
-            self._charge(namespace, cost)
-            stats["puts"] += 1
+                self._charge(space, -existing[1])
+            self._clock += 1
+            space.entries[key] = (value, cost, self._clock)
+            self._charge(space, cost)
+            space.stats["puts"] += 1
             self._evict_to_budget()
             return True
 
     def clear(self, namespace: str | None = None, counters: bool = True) -> None:
-        """Drop entries (one namespace or all); optionally zero counters."""
+        """Drop entries (one namespace or all); optionally zero counters.
+
+        Clearing a namespace that was never used is a no-op: it does not
+        register the name.
+        """
         with self._lock:
             if namespace is None:
-                self._entries.clear()
-                for ns in self._bytes:
-                    self._bytes[ns] = 0
-                self._total_bytes = 0
-                if counters:
-                    for ns in self._stats:
-                        self._stats[ns] = _zero_namespace_stats()
+                spaces = list(self._namespaces.values())
+            elif namespace in self._namespaces:
+                spaces = [self._namespaces[namespace]]
+            else:
                 return
-            doomed = [k for k in self._entries if k[0] == namespace]
-            for full_key in doomed:
-                __, cost = self._entries.pop(full_key)
-                self._charge(namespace, -cost)
-            if counters:
-                self._stats[namespace] = _zero_namespace_stats()
+            for space in spaces:
+                space.entries.clear()
+                self._charge(space, -space.stats["bytes"])
+                if counters:
+                    space.stats = _zero_namespace_stats()
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
     def stats(self, namespace: str | None = None) -> dict:
-        """Counters and sizes — per namespace, or the full picture."""
+        """Counters and sizes — per namespace, or the full picture.
+
+        Read-only: asking about a namespace that was never used returns
+        zeroed counters without registering it.
+        """
         with self._lock:
             if namespace is not None:
-                out = dict(self._namespace_stats(namespace))
-                out["bytes"] = self._bytes.get(namespace, 0)
-                out["entries"] = sum(
-                    1 for k in self._entries if k[0] == namespace
-                )
-                out["floor_bytes"] = self._floors.get(namespace, 0)
-                return out
-            namespaces = {}
-            for ns in sorted(self._stats):
-                entry = dict(self._stats[ns])
-                entry["bytes"] = self._bytes.get(ns, 0)
-                entry["entries"] = sum(1 for k in self._entries if k[0] == ns)
-                entry["floor_bytes"] = self._floors.get(ns, 0)
-                namespaces[ns] = entry
+                space = self._namespaces.get(namespace) or _Namespace()
+                return space.describe()
+            spaces = self._namespaces
             return {
                 "max_bytes": self._max_bytes,
                 "total_bytes": self._total_bytes,
-                "entries": len(self._entries),
-                "evictions": sum(s["evictions"] for s in self._stats.values()),
-                "namespaces": namespaces,
+                "entries": sum(len(s.entries) for s in spaces.values()),
+                "evictions": sum(s.stats["evictions"] for s in spaces.values()),
+                "namespaces": {
+                    ns: spaces[ns].describe() for ns in sorted(spaces)
+                },
             }
 
     def total_bytes(self) -> int:
@@ -273,43 +300,39 @@ class SharedCache:
     # ------------------------------------------------------------------ #
     # internals (lock held)
     # ------------------------------------------------------------------ #
-    def _namespace_stats(self, namespace: str) -> dict[str, int]:
-        stats = self._stats.get(namespace)
-        if stats is None:
-            stats = self._stats[namespace] = _zero_namespace_stats()
-            self._bytes.setdefault(namespace, 0)
-        return stats
+    def _space(self, namespace: str) -> _Namespace:
+        space = self._namespaces.get(namespace)
+        if space is None:
+            space = self._namespaces[namespace] = _Namespace()
+        return space
 
-    def _charge(self, namespace: str, delta: int) -> None:
-        self._bytes[namespace] = self._bytes.get(namespace, 0) + delta
+    def _charge(self, space: _Namespace, delta: int) -> None:
+        space.stats["bytes"] += delta
         self._total_bytes += delta
-        stats = self._namespace_stats(namespace)
-        stats["bytes"] = self._bytes[namespace]
 
     def _evict_to_budget(self) -> None:
-        if self._total_bytes <= self._max_bytes:
-            return
-        # First pass: LRU order, but spare namespaces at/below their
-        # floor so one namespace's burst cannot starve the others.
-        for full_key in list(self._entries):
-            if self._total_bytes <= self._max_bytes:
-                return
-            namespace = full_key[0]
-            floor = self._floors.get(namespace, 0)
-            if self._bytes.get(namespace, 0) <= floor:
-                continue
-            self._evict_one(full_key)
-        # Second pass: the budget is a hard bound — floors yield.
-        for full_key in list(self._entries):
-            if self._total_bytes <= self._max_bytes:
-                return
-            self._evict_one(full_key)
+        # Floors first: namespaces at/below their floor are spared while
+        # any other namespace can give; then the budget is a hard bound.
+        while self._total_bytes > self._max_bytes:
+            victim = self._oldest_head(spare_floors=True)
+            if victim is None:
+                victim = self._oldest_head(spare_floors=False)
+            __, (__, cost, __) = victim.entries.popitem(last=False)
+            self._charge(victim, -cost)
+            victim.stats["evictions"] += 1
 
-    def _evict_one(self, full_key: tuple[str, Hashable]) -> None:
-        __, cost = self._entries.pop(full_key)
-        namespace = full_key[0]
-        self._charge(namespace, -cost)
-        self._namespace_stats(namespace)["evictions"] += 1
+    def _oldest_head(self, spare_floors: bool) -> _Namespace | None:
+        """The namespace whose LRU entry is globally oldest, or ``None``."""
+        oldest, oldest_tick = None, 0
+        for space in self._namespaces.values():
+            if not space.entries:
+                continue
+            if spare_floors and space.stats["bytes"] <= space.floor:
+                continue
+            tick = space.head_tick()
+            if oldest is None or tick < oldest_tick:
+                oldest, oldest_tick = space, tick
+        return oldest
 
 
 # ---------------------------------------------------------------------- #

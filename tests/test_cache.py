@@ -4,7 +4,12 @@ Three contracts:
 
 * **Accounting** — entries are charged payload bytes + key overhead,
   per-namespace and total byte counters track puts/evictions exactly,
-  and the budget is a *hard* bound (floors are best-effort).
+  and the budget is a *hard* bound (floors are best-effort). The
+  per-namespace LRU evicts in exactly the order of the former single
+  global LRU walked in two passes (floors first, then pure LRU): a
+  test-only model of that walk is driven side by side with
+  :class:`SharedCache` over random operation sequences, and every
+  ``get`` and ``stats()`` must agree.
 * **Equivalence** — caching and eviction never change results: session
   traces are bit-identical under a generous budget, a starvation-level
   budget (every put evicts something), and a cold cache, in both kernel
@@ -16,10 +21,16 @@ Three contracts:
   state's block via row lineage.
 """
 
+import random
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cache import (
+    _ADMISSION_FRACTION,
     DEFAULT_MAX_BYTES,
     KEY_OVERHEAD_BYTES,
     SharedCache,
@@ -165,6 +176,264 @@ class TestSharedCacheAccounting:
             SharedCache(max_bytes=1024).configure(max_bytes=-1)
         with pytest.raises(ValueError):
             SharedCache(max_bytes=1024).register("ns", floor_bytes=-1)
+
+
+class TestReadOnlyLookupsDoNotRegister:
+    def test_stats_of_an_unknown_namespace_is_zeroed_and_unregistered(self):
+        cache = SharedCache(max_bytes=1 << 20)
+        cache.register("known", floor_bytes=1024)
+        typo = cache.stats("typo")
+        assert typo == {
+            "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
+            "rejected": 0, "bytes": 0, "entries": 0, "floor_bytes": 0,
+        }
+        assert set(cache.stats()["namespaces"]) == {"known"}
+
+    def test_clearing_an_unknown_namespace_does_not_register_it(self):
+        cache = SharedCache(max_bytes=1 << 20)
+        cache.clear("typo")
+        cache.clear("typo", counters=False)
+        assert cache.stats()["namespaces"] == {}
+
+    def test_status_payload_ignores_stats_lookups_of_unknown_namespaces(self):
+        shared_cache().stats("no-such-namespace")
+        assert "no-such-namespace" not in cache_stats()["namespaces"]
+
+
+# --------------------------------------------------------------------- #
+# Differential: per-namespace LRU vs the former global two-pass walk
+# --------------------------------------------------------------------- #
+class _GlobalWalkModel:
+    """Reference model: one global LRU over ``(namespace, key)`` and the
+    two-pass eviction walk (skip namespaces at/below their floor, then
+    pure LRU) that :class:`SharedCache` replaced. Kept only to pin the
+    eviction order; it walks every entry on every over-budget put."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.entries: OrderedDict = OrderedDict()
+        self.max_bytes = max_bytes
+        self.floors: dict[str, int] = {}
+        self.counters: dict[str, dict[str, int]] = {}
+        self.total = 0
+
+    def _ns(self, namespace):
+        self.floors.setdefault(namespace, 0)
+        return self.counters.setdefault(namespace, {
+            "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
+            "rejected": 0, "bytes": 0, "entries": 0,
+        })
+
+    def _charge(self, namespace, delta):
+        self._ns(namespace)["bytes"] += delta
+        self.total += delta
+
+    def register(self, namespace, floor_bytes):
+        self._ns(namespace)
+        self.floors[namespace] = max(self.floors[namespace], floor_bytes)
+
+    def configure(self, max_bytes=None, floors=None):
+        if max_bytes is not None:
+            self.max_bytes = max_bytes
+        for namespace, floor in (floors or {}).items():
+            self._ns(namespace)
+            self.floors[namespace] = floor
+        self._evict_to_budget()
+
+    def get(self, namespace, key):
+        counters = self._ns(namespace)
+        entry = self.entries.get((namespace, key))
+        if entry is None:
+            counters["misses"] += 1
+            return None
+        self.entries.move_to_end((namespace, key))
+        counters["hits"] += 1
+        return entry[0]
+
+    def put(self, namespace, key, value, nbytes):
+        cost = nbytes + KEY_OVERHEAD_BYTES
+        counters = self._ns(namespace)
+        if cost > max(self.max_bytes // _ADMISSION_FRACTION, 1):
+            counters["rejected"] += 1
+            return False
+        existing = self.entries.get((namespace, key))
+        if existing is not None:
+            self._charge(namespace, -existing[1])
+        self.entries[(namespace, key)] = (value, cost)
+        self.entries.move_to_end((namespace, key))
+        self._charge(namespace, cost)
+        counters["puts"] += 1
+        self._evict_to_budget()
+        return True
+
+    def clear(self, namespace=None, counters=True):
+        if namespace is not None and namespace not in self.counters:
+            return
+        for full_key in [
+            k for k in self.entries if namespace in (None, k[0])
+        ]:
+            self._charge(full_key[0], -self.entries.pop(full_key)[1])
+        if counters:
+            for ns in self.counters:
+                if namespace in (None, ns):
+                    self.counters[ns] = {
+                        k: 0 for k in self.counters[ns]
+                    }
+
+    def stats(self):
+        namespaces = {}
+        for ns in sorted(self.counters):
+            entry = dict(self.counters[ns])
+            entry["entries"] = sum(1 for k in self.entries if k[0] == ns)
+            entry["floor_bytes"] = self.floors[ns]
+            namespaces[ns] = entry
+        return {
+            "max_bytes": self.max_bytes,
+            "total_bytes": self.total,
+            "entries": len(self.entries),
+            "evictions": sum(c["evictions"] for c in self.counters.values()),
+            "namespaces": namespaces,
+        }
+
+    def _evict_to_budget(self):
+        if self.total <= self.max_bytes:
+            return
+        for full_key in list(self.entries):
+            if self.total <= self.max_bytes:
+                return
+            namespace = full_key[0]
+            if self.counters[namespace]["bytes"] <= self.floors[namespace]:
+                continue
+            self._evict_one(full_key)
+        for full_key in list(self.entries):
+            if self.total <= self.max_bytes:
+                return
+            self._evict_one(full_key)
+
+    def _evict_one(self, full_key):
+        __, cost = self.entries.pop(full_key)
+        self._charge(full_key[0], -cost)
+        self.counters[full_key[0]]["evictions"] += 1
+
+
+#: Budget for the differential runs: ~10-40 entries resident, so most
+#: puts evict and floors bind; admission cap is budget / 8.
+_DIFF_BUDGET = 16 * 1024
+#: Mixed floors: none, small, about a fifth of the budget, above it.
+#: ``"late"`` is never registered up front — first use registers it.
+_DIFF_FLOORS = {"plain": 0, "small": 1024, "mid": 3 * 1024, "huge": 1 << 20}
+_DIFF_NAMESPACES = sorted(_DIFF_FLOORS) + ["late"]
+
+
+def _paired_caches():
+    cache = SharedCache(max_bytes=_DIFF_BUDGET)
+    model = _GlobalWalkModel(max_bytes=_DIFF_BUDGET)
+    for namespace, floor in _DIFF_FLOORS.items():
+        cache.register(namespace, floor_bytes=floor)
+        model.register(namespace, floor)
+    return cache, model
+
+
+def _drive_random_sequence(seed: int, n_ops: int) -> None:
+    rng = random.Random(seed)
+    cache, model = _paired_caches()
+    for op in range(n_ops):
+        namespace = rng.choice(_DIFF_NAMESPACES)
+        key = rng.randrange(24)  # small key pool: re-puts and hits
+        roll = rng.random()
+        if roll < 0.45:
+            # Up to 3 KiB payloads: above the 2 KiB admission cap at the
+            # default budget, so some puts are rejected.
+            nbytes = rng.choice([0, 64, 512, 1024, 1536, 3072])
+            assert cache.put(namespace, key, op, nbytes=nbytes) == model.put(
+                namespace, key, op, nbytes
+            )
+        elif roll < 0.85:
+            assert cache.get(namespace, key) == model.get(namespace, key)
+        elif roll < 0.90:
+            cache.clear(namespace, counters=False)
+            model.clear(namespace, counters=False)
+        elif roll < 0.95:
+            budget = rng.choice([2048, 6 * 1024, _DIFF_BUDGET, 48 * 1024])
+            cache.configure(max_bytes=budget)
+            model.configure(max_bytes=budget)
+        else:
+            floors = {namespace: rng.choice([0, 512, 2048, 8 * 1024])}
+            cache.configure(floors=floors)
+            model.configure(floors=floors)
+        assert cache.stats() == model.stats(), (seed, op)
+        assert cache.total_bytes() <= cache.max_bytes
+
+
+class TestEvictionOrderMatchesGlobalWalk:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_sequences_agree_with_the_model(self, seed):
+        _drive_random_sequence(seed, n_ops=2000)
+
+    def test_floor_protected_head_is_skipped_then_yields(self):
+        cache, model = _paired_caches()
+        # "small" holds the LRU head at its floor; "plain" pressure must
+        # evict around it, then a budget below the floor forces it out.
+        for c in (cache, model):
+            c.put("small", "head", "h", 512)
+            for i in range(40):
+                c.put("plain", i, i, 1024)
+        assert cache.get("small", "head") == model.get("small", "head") == "h"
+        assert cache.stats() == model.stats()
+        cache.configure(max_bytes=512)
+        model.configure(max_bytes=512)
+        assert cache.stats() == model.stats()
+        assert cache.stats()["entries"] == 0
+
+
+class _CacheVersusModel(RuleBasedStateMachine):
+    """Hypothesis-chosen operation sequences against the same model."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cache, self.model = _paired_caches()
+        self.value = 0
+
+    @rule(
+        namespace=st.sampled_from(_DIFF_NAMESPACES),
+        key=st.integers(0, 12),
+        nbytes=st.sampled_from([0, 256, 1024, 3072]),
+    )
+    def put(self, namespace, key, nbytes):
+        self.value += 1
+        assert self.cache.put(
+            namespace, key, self.value, nbytes=nbytes
+        ) == self.model.put(namespace, key, self.value, nbytes)
+
+    @rule(namespace=st.sampled_from(_DIFF_NAMESPACES), key=st.integers(0, 12))
+    def get(self, namespace, key):
+        assert self.cache.get(namespace, key) == self.model.get(namespace, key)
+
+    @rule(
+        namespace=st.sampled_from(_DIFF_NAMESPACES + [None]),
+        counters=st.booleans(),
+    )
+    def clear(self, namespace, counters):
+        self.cache.clear(namespace, counters=counters)
+        self.model.clear(namespace, counters=counters)
+
+    @rule(
+        budget=st.sampled_from([2048, 6 * 1024, _DIFF_BUDGET]),
+        namespace=st.sampled_from(_DIFF_NAMESPACES),
+        floor=st.sampled_from([0, 512, 4096]),
+    )
+    def configure(self, budget, namespace, floor):
+        self.cache.configure(max_bytes=budget, floors={namespace: floor})
+        self.model.configure(max_bytes=budget, floors={namespace: floor})
+
+    @invariant()
+    def stats_agree(self):
+        assert self.cache.stats() == self.model.stats()
+
+
+TestCacheVersusModel = _CacheVersusModel.TestCase
+TestCacheVersusModel.settings = settings(
+    max_examples=50, stateful_step_count=60, deadline=None
+)
 
 
 class TestModuleSingleton:
